@@ -12,7 +12,8 @@
 //!   [`ExprArena`], so structurally equal candidates share one [`ExprId`]
 //!   and the work-list / seen-set operate on `Copy` integers;
 //! * **expansion memo** — `Expander::expand_first` + `simplify` + the §3.1
-//!   type-narrowing filter, keyed by `(environment, Γ, candidate)`;
+//!   type-narrowing filter + the search's size cutoff, keyed by
+//!   `(environment, Γ, cutoff, candidate)`;
 //! * **type memo** — `infer_ty` verdicts, same key;
 //! * **oracle memo** — [`crate::generate::OracleOutcome`]s, keyed by
 //!   `(oracle, candidate)`;
@@ -197,7 +198,8 @@ struct ExpandEntry {
     /// [`crate::generate::SearchStats::expanded`] on hits so counters are
     /// identical with and without caching).
     raw: u64,
-    /// Simplified, well-typed expansions, in enumeration order.
+    /// Simplified, well-typed expansions within the size cutoff, in
+    /// enumeration order.
     items: Arc<[ExpandItem]>,
 }
 
@@ -216,7 +218,7 @@ struct ExpandEntry {
 /// uncached search exactly.
 pub struct SearchCache {
     arena: Vec<RwLock<ExprArena>>,
-    expand: ShardedMap<(EnvToken, u128, ExprId), ExpandEntry>,
+    expand: ShardedMap<(EnvToken, u128, usize, ExprId), ExpandEntry>,
     types: ShardedMap<(EnvToken, u128, ExprId), Option<Ty>>,
     oracle: ShardedMap<(OracleToken, ExprId), OracleOutcome>,
     templates: ShardedMap<(EnvToken, String), Arc<Vec<Expr>>>,
@@ -483,19 +485,21 @@ impl CacheHandle {
     }
 
     /// Memoized expansion of the leftmost hole of `id` under the root
-    /// environment `gamma_fp`: returns the simplified, type-filtered
-    /// expansions, computing them via `compute` on a miss. `compute`
+    /// environment `gamma_fp` and the size cutoff `max_size`: returns the
+    /// simplified, type-filtered expansions, computing them via `compute`
+    /// on a miss. `compute`
     /// returns `(raw_count, items)`; the raw (pre-filter) count is folded
     /// into `stats.expanded` on hits and misses alike so effort counters
     /// do not depend on cache state.
     pub fn expansions(
         &self,
         gamma_fp: u128,
+        max_size: usize,
         id: ExprId,
         stats: &mut crate::generate::SearchStats,
         compute: impl FnOnce(&mut crate::generate::SearchStats) -> (u64, Vec<ExpandItem>),
     ) -> Arc<[ExpandItem]> {
-        let key = (self.env, gamma_fp, id);
+        let key = (self.env, gamma_fp, max_size, id);
         if let Some(entry) = self.run.expand.get(&key) {
             stats.expand_hits += 1;
             stats.expanded += entry.raw;
@@ -623,10 +627,10 @@ mod tests {
         let id = h.intern(hole(rbsyn_lang::Ty::Int));
         let mut stats = SearchStats::default();
         let gfp = gamma_fingerprint(&[]);
-        let first = h.expansions(gfp, id, &mut stats, |_| (7, vec![h.intern_full(int(1))]));
+        let first = h.expansions(gfp, 8, id, &mut stats, |_| (7, vec![h.intern_full(int(1))]));
         assert_eq!(stats.expanded, 7);
         assert_eq!(stats.expand_hits, 0);
-        let second = h.expansions(gfp, id, &mut stats, |_| panic!("must not recompute"));
+        let second = h.expansions(gfp, 8, id, &mut stats, |_| panic!("must not recompute"));
         let ids = |items: &[ExpandItem]| items.iter().map(|i| i.id).collect::<Vec<_>>();
         assert_eq!(ids(&first), ids(&second));
         assert_eq!(stats.expanded, 14, "raw count restored on hit");
@@ -646,10 +650,10 @@ mod tests {
         let id = h1.intern(hole(rbsyn_lang::Ty::Int));
         let mut stats = SearchStats::default();
         let gfp = gamma_fingerprint(&[]);
-        h1.expansions(gfp, id, &mut stats, |_| (1, vec![]));
+        h1.expansions(gfp, 8, id, &mut stats, |_| (1, vec![]));
         // Different environment: entry invisible, recomputed.
         let recomputed = std::cell::Cell::new(false);
-        h2.expansions(gfp, id, &mut stats, |_| {
+        h2.expansions(gfp, 8, id, &mut stats, |_| {
             recomputed.set(true);
             (1, vec![])
         });
@@ -657,10 +661,18 @@ mod tests {
         // Different Γ: also recomputed.
         let gfp2 = gamma_fingerprint(&[(rbsyn_lang::Symbol::intern("x"), rbsyn_lang::Ty::Str)]);
         let recomputed = std::cell::Cell::new(false);
-        h1.expansions(gfp2, id, &mut stats, |_| {
+        h1.expansions(gfp2, 8, id, &mut stats, |_| {
             recomputed.set(true);
             (1, vec![])
         });
         assert!(recomputed.get(), "gamma fingerprint must separate entries");
+        // Different size cutoff: the memoized list drops over-size partial
+        // children, so it must not serve a search with a larger cutoff.
+        let recomputed = std::cell::Cell::new(false);
+        h1.expansions(gfp, 14, id, &mut stats, |_| {
+            recomputed.set(true);
+            (1, vec![])
+        });
+        assert!(recomputed.get(), "size cutoff must separate entries");
     }
 }

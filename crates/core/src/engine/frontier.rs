@@ -2,8 +2,9 @@
 //! Algorithm 2, ordered by a pluggable [`SearchStrategy`].
 //!
 //! Items carry the candidate's [`ExprId`] plus the `Arc`'d expression so a
-//! pop needs no arena lookup. Insertion order is tracked internally and
-//! used as the final tiebreak, making every strategy's exploration order
+//! pop needs no arena lookup; callers that rank something else (the guard
+//! pool's unbuilt children) pick their own item type. Insertion order is
+//! tracked internally and used as the final tiebreak, making every strategy's exploration order
 //! fully deterministic (the paper's `(c desc, size asc, insertion order)`
 //! is [`PaperOrder`](crate::engine::PaperOrder) under this scheme).
 
@@ -25,24 +26,24 @@ pub struct FrontierItem {
     pub expr: Arc<Expr>,
 }
 
-struct Entry {
+struct Entry<T> {
     pri: Priority,
     seq: u64,
-    item: FrontierItem,
+    item: T,
 }
 
-impl PartialEq for Entry {
+impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for Entry {}
-impl PartialOrd for Entry {
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Entry {
+impl<T> Ord for Entry<T> {
     // BinaryHeap pops the maximum: highest strategy priority first, FIFO
     // among equals.
     fn cmp(&self, other: &Self) -> Ordering {
@@ -50,16 +51,30 @@ impl Ord for Entry {
     }
 }
 
-/// The work-list priority queue of one `generate` call.
-pub struct Frontier<'s> {
-    heap: BinaryHeap<Entry>,
+/// The work-list priority queue of one `generate` call (items of type
+/// `T`, ranked by the `(c, size)` they were pushed with).
+pub struct Frontier<'s, T = FrontierItem> {
+    heap: BinaryHeap<Entry<T>>,
     strategy: &'s dyn SearchStrategy,
     seq: u64,
 }
 
 impl<'s> Frontier<'s> {
+    /// Enqueues a candidate. Insertion order is recorded as the final
+    /// tiebreak.
+    pub fn push(&mut self, c: usize, size: usize, id: ExprId, expr: Arc<Expr>) {
+        self.push_item(c, size, FrontierItem { c, size, id, expr });
+    }
+
+    /// Removes and returns the highest-priority candidate.
+    pub fn pop(&mut self) -> Option<FrontierItem> {
+        self.heap.pop().map(|e| e.item)
+    }
+}
+
+impl<'s, T> Frontier<'s, T> {
     /// An empty frontier ordered by `strategy`.
-    pub fn new(strategy: &'s dyn SearchStrategy) -> Frontier<'s> {
+    pub fn new(strategy: &'s dyn SearchStrategy) -> Frontier<'s, T> {
         Frontier {
             heap: BinaryHeap::new(),
             strategy,
@@ -67,35 +82,26 @@ impl<'s> Frontier<'s> {
         }
     }
 
-    /// Enqueues a candidate. Insertion order is recorded as the final
-    /// tiebreak.
-    pub fn push(&mut self, c: usize, size: usize, id: ExprId, expr: Arc<Expr>) {
+    /// Enqueues `item` at the strategy's priority for `(c, size)`.
+    /// Insertion order is recorded as the final tiebreak.
+    pub fn push_item(&mut self, c: usize, size: usize, item: T) {
         let pri = self.strategy.priority(c, size);
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry {
-            pri,
-            seq,
-            item: FrontierItem { c, size, id, expr },
-        });
-    }
-
-    /// Removes and returns the highest-priority candidate.
-    pub fn pop(&mut self) -> Option<FrontierItem> {
-        self.heap.pop().map(|e| e.item)
+        self.heap.push(Entry { pri, seq, item });
     }
 
     /// [`Frontier::pop`] plus the popped item's rank `(priority, seq)`, so
     /// speculative consumers can re-enqueue it unchanged via
     /// [`Frontier::requeue`].
-    pub fn pop_ranked(&mut self) -> Option<(Priority, u64, FrontierItem)> {
+    pub fn pop_ranked(&mut self) -> Option<(Priority, u64, T)> {
         self.heap.pop().map(|e| (e.pri, e.seq, e.item))
     }
 
     /// Re-enqueues an item popped with [`Frontier::pop_ranked`] at its
     /// original rank (priority *and* insertion order), used to roll back
     /// a speculation window.
-    pub fn requeue(&mut self, pri: Priority, seq: u64, item: FrontierItem) {
+    pub fn requeue(&mut self, pri: Priority, seq: u64, item: T) {
         self.heap.push(Entry { pri, seq, item });
     }
 

@@ -125,6 +125,8 @@ struct Ctx<'a> {
     opts: &'a Options,
     search: &'a CacheHandle,
     gamma_fp: u128,
+    /// The run's size cutoff (part of the expansion memo key).
+    max_size: usize,
     /// The run's tracing session (workers record sampled eval spans on
     /// their own tracks and flush at shutdown).
     trace: Option<&'a Session>,
@@ -137,9 +139,19 @@ fn run_job(
     job: &SpecJob,
 ) -> SpecOutcomes {
     let expander = Expander::new(&ctx.env.table, ctx.opts, ctx.search);
-    let expansions = ctx.search.expansions(ctx.gamma_fp, job.id, scratch, |_| {
-        expand_compute(&expander, gamma, ctx.env, ctx.opts, ctx.search, &job.expr)
-    });
+    let expansions = ctx
+        .search
+        .expansions(ctx.gamma_fp, ctx.max_size, job.id, scratch, |_| {
+            expand_compute(
+                &expander,
+                gamma,
+                ctx.env,
+                ctx.opts,
+                ctx.search,
+                &job.expr,
+                ctx.max_size,
+            )
+        });
     expansions
         .iter()
         .map(|cand| {
@@ -186,6 +198,7 @@ impl<'scope, 'env> SpeculationPool<'scope, 'env> {
         opts: &'scope Options,
         search: &'scope CacheHandle,
         gamma_fp: u128,
+        max_size: usize,
         trace: Option<&'scope Session>,
     ) -> SpeculationPool<'scope, 'env> {
         SpeculationPool {
@@ -198,6 +211,7 @@ impl<'scope, 'env> SpeculationPool<'scope, 'env> {
                 opts,
                 search,
                 gamma_fp,
+                max_size,
                 trace,
             },
             workers,

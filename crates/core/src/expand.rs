@@ -60,7 +60,8 @@ pub struct Expander<'a> {
 /// `Γ` is never pushed or popped during enumeration — the entire filling
 /// list (constants, variables, hash/symbol literals *and* the call
 /// templates) collapses to a pure function of the goal and can be served
-/// from this map, skipping the per-call subtype scans, seed-set
+/// from this map by [`Expander::first_hole_fills`], which hands out the
+/// shared list itself, skipping the per-call subtype scans, seed-set
 /// stringification and memo-key formatting. Callers whose `Γ` changes
 /// between holes (phase-1 `Let` bodies) must NOT pass one.
 pub struct FillMemo(RefCell<HashMap<Ty, Arc<Vec<Expr>>, FxBuild>>);
@@ -285,23 +286,41 @@ impl<'a> Expander<'a> {
         out
     }
 
+    /// The complete filling list of `e`'s leftmost hole — the hole
+    /// [`Expander::expand_first`] rewrites — shared out of the
+    /// [`FillMemo`] instead of copied, or `None` when `e` is hole-free.
+    /// Child `j` of `e` is [`fill_first`]`(e, &fills[j])`, so a caller can
+    /// rank children by size and build only the ones it needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the expander has no [`FillMemo`] (the list is only a
+    /// pure function of the hole under a fixed `Γ`, so `e` must not bind)
+    /// or when the leftmost hole is an effect hole.
+    pub fn first_hole_fills(&self, e: &Expr, gamma: &Gamma) -> Option<Arc<Vec<Expr>>> {
+        match first_hole(e)? {
+            Expr::Hole(goal) => Some(self.fill_typed_shared(goal, gamma)),
+            other => panic!("first_hole_fills: unsupported hole {}", other.compact()),
+        }
+    }
+
+    /// [`Expander::fill_typed`] through the [`FillMemo`], as the memo's
+    /// shared list.
+    fn fill_typed_shared(&self, goal: &Ty, gamma: &Gamma) -> Arc<Vec<Expr>> {
+        let memo = self
+            .fill_memo
+            .expect("shared fill lists need a FillMemo (fixed Γ)");
+        if let Some(cached) = memo.0.borrow().get(goal) {
+            return Arc::clone(cached);
+        }
+        let out = Arc::new(self.fill_typed(goal, gamma));
+        memo.0.borrow_mut().insert(goal.clone(), Arc::clone(&out));
+        out
+    }
+
     /// Fillings of a typed hole `□:τ` (S-Const, S-Var, symbol literals,
     /// hash literals, S-App).
     fn fill_typed(&self, goal: &Ty, gamma: &Gamma) -> Vec<Expr> {
-        if let Some(memo) = self.fill_memo {
-            if let Some(cached) = memo.0.borrow().get(goal) {
-                return cached.as_ref().clone();
-            }
-            let out = self.fill_typed_uncached(goal, gamma);
-            memo.0
-                .borrow_mut()
-                .insert(goal.clone(), Arc::new(out.clone()));
-            return out;
-        }
-        self.fill_typed_uncached(goal, gamma)
-    }
-
-    fn fill_typed_uncached(&self, goal: &Ty, gamma: &Gamma) -> Vec<Expr> {
         let typed = self.opts.guidance.types;
         let h = &self.table.hierarchy;
         let mut out: Vec<Expr> = Vec::new();
@@ -450,6 +469,112 @@ fn subsets(idxs: &[usize], k: usize, f: &mut impl FnMut(&[usize])) {
         }
     }
     go(idxs, k, 0, &mut Vec::new(), f);
+}
+
+/// The leftmost hole of `e` (typed or effect) — the one
+/// [`Expander::expand_first`] rewrites — or `None` when `e` is hole-free.
+pub fn first_hole(e: &Expr) -> Option<&Expr> {
+    match e {
+        Expr::Hole(_) | Expr::EffHole(_) => Some(e),
+        Expr::Lit(_) | Expr::Var(_) => None,
+        Expr::Seq(es) => es.iter().find_map(first_hole),
+        Expr::Call { recv, args, .. } => {
+            first_hole(recv).or_else(|| args.iter().find_map(first_hole))
+        }
+        Expr::If { cond, then, els } => first_hole(cond)
+            .or_else(|| first_hole(then))
+            .or_else(|| first_hole(els)),
+        Expr::Let { val, body, .. } => first_hole(val).or_else(|| first_hole(body)),
+        Expr::HashLit(entries) => entries.iter().find_map(|(_, v)| first_hole(v)),
+        Expr::Not(b) => first_hole(b),
+        Expr::Or(a, b) => first_hole(a).or_else(|| first_hole(b)),
+    }
+}
+
+/// `e` with its leftmost hole replaced by `fill`: the child
+/// [`Expander::expand_first`] produces for that filling (sequences are
+/// re-[`simplify`]d exactly as there), or `None` when `e` is hole-free.
+pub fn fill_first(e: &Expr, fill: &Expr) -> Option<Expr> {
+    match e {
+        Expr::Hole(_) | Expr::EffHole(_) => Some(fill.clone()),
+        Expr::Lit(_) | Expr::Var(_) => None,
+        Expr::Seq(es) => es.iter().enumerate().find_map(|(i, child)| {
+            fill_first(child, fill).map(|s| {
+                let mut es2 = es.clone();
+                es2[i] = s;
+                simplify(Expr::Seq(es2))
+            })
+        }),
+        Expr::Call { recv, meth, args } => {
+            if let Some(s) = fill_first(recv, fill) {
+                return Some(Expr::Call {
+                    recv: Box::new(s),
+                    meth: *meth,
+                    args: args.clone(),
+                });
+            }
+            args.iter().enumerate().find_map(|(i, a)| {
+                fill_first(a, fill).map(|s| {
+                    let mut args2 = args.clone();
+                    args2[i] = s;
+                    Expr::Call {
+                        recv: recv.clone(),
+                        meth: *meth,
+                        args: args2,
+                    }
+                })
+            })
+        }
+        Expr::If { cond, then, els } => {
+            if let Some(s) = fill_first(cond, fill) {
+                return Some(Expr::If {
+                    cond: Box::new(s),
+                    then: then.clone(),
+                    els: els.clone(),
+                });
+            }
+            if let Some(s) = fill_first(then, fill) {
+                return Some(Expr::If {
+                    cond: cond.clone(),
+                    then: Box::new(s),
+                    els: els.clone(),
+                });
+            }
+            fill_first(els, fill).map(|s| Expr::If {
+                cond: cond.clone(),
+                then: then.clone(),
+                els: Box::new(s),
+            })
+        }
+        Expr::Let { var, val, body } => {
+            if let Some(s) = fill_first(val, fill) {
+                return Some(Expr::Let {
+                    var: *var,
+                    val: Box::new(s),
+                    body: body.clone(),
+                });
+            }
+            fill_first(body, fill).map(|s| Expr::Let {
+                var: *var,
+                val: val.clone(),
+                body: Box::new(s),
+            })
+        }
+        Expr::HashLit(entries) => entries.iter().enumerate().find_map(|(i, (_, v))| {
+            fill_first(v, fill).map(|s| {
+                let mut e2 = entries.clone();
+                e2[i].1 = s;
+                Expr::HashLit(e2)
+            })
+        }),
+        Expr::Not(b) => fill_first(b, fill).map(|s| Expr::Not(Box::new(s))),
+        Expr::Or(x, y) => {
+            if let Some(s) = fill_first(x, fill) {
+                return Some(Expr::Or(Box::new(s), y.clone()));
+            }
+            fill_first(y, fill).map(|s| Expr::Or(x.clone(), Box::new(s)))
+        }
+    }
 }
 
 /// Canonicalizes sequences: flattens nested `Seq`s, drops non-final `nil`
@@ -676,6 +801,41 @@ mod tests {
         assert!(fills.iter().any(|e| e.compact() == "x"));
         // And the candidate pool is the whole library.
         assert!(fills.len() > 50);
+    }
+
+    /// The lazy pair (`first_hole_fills` + `fill_first`) builds exactly
+    /// the children `expand_first` builds, in the same order, whichever
+    /// subterm holds the leftmost hole.
+    #[test]
+    fn fill_first_reproduces_expand_first() {
+        let (table, post) = blog();
+        let opts = Options::default();
+        let search = CacheHandle::private();
+        let memo = FillMemo::new();
+        let ex = Expander::with_fill_memo(&table, &opts, &search, &memo);
+        let mut g = Gamma::new();
+        g.bind(Symbol::intern("arg0"), Ty::Str);
+        let exprs = [
+            hole(Ty::Bool),
+            call(hole(Ty::SingletonClass(post)), "where", [hole(Ty::Obj)]),
+            call(cls(post), "exists?", [hole(Ty::Str)]),
+            Expr::Or(
+                Box::new(call(var("arg0"), "empty?", [])),
+                Box::new(Expr::Not(Box::new(hole(Ty::Bool)))),
+            ),
+        ];
+        for e in &exprs {
+            let eager = ex.expand_first(e, &mut g).unwrap();
+            let fills = ex.first_hole_fills(e, &g).unwrap();
+            let lazy: Vec<Expr> = fills.iter().map(|f| fill_first(e, f).unwrap()).collect();
+            assert_eq!(lazy, eager, "{}", e.compact());
+            assert!(
+                Arc::ptr_eq(&fills, &ex.first_hole_fills(e, &g).unwrap()),
+                "the memo shares its list"
+            );
+        }
+        assert!(ex.first_hole_fills(&int(1), &g).is_none());
+        assert!(fill_first(&int(1), &int(2)).is_none());
     }
 
     #[test]

@@ -29,6 +29,7 @@ use crate::expand::{simplify, Expander};
 use crate::infer::{infer_ty, Gamma};
 use crate::options::Options;
 use rbsyn_interp::{InterpEnv, PreparedSpec, Spec, SpecOutcome};
+use rbsyn_lang::metrics::node_count;
 use rbsyn_lang::{EffectPair, EffectSet, Expr, ExprId, FxBuild, Program, Symbol, Ty};
 use rbsyn_trace::{Mark, Phase};
 use std::collections::{HashMap, HashSet};
@@ -216,6 +217,13 @@ struct Pending {
 /// frontier item — the compute function behind the expansion memo, shared
 /// by the sequential loop and the speculation workers. Returns the raw
 /// (pre-filter) count plus the surviving, hash-consed candidates.
+///
+/// A child that still has a hole and is larger than `max_size` is dropped
+/// before typing and interning: the search never enqueues it, and an
+/// identical expression has the same size, so it can never be enqueued
+/// later either. Such children are most of some expansions (on `gen0139`
+/// of the generated corpus, 553k of 720k), and the memo would otherwise
+/// keep every one of them alive until the job ends.
 pub(crate) fn expand_compute(
     expander: &Expander<'_>,
     gamma: &mut Gamma,
@@ -223,6 +231,7 @@ pub(crate) fn expand_compute(
     opts: &Options,
     search: &CacheHandle,
     expr: &Expr,
+    max_size: usize,
 ) -> (u64, Vec<crate::cache::ExpandItem>) {
     let subs = expander
         .expand_first(expr, gamma)
@@ -231,6 +240,9 @@ pub(crate) fn expand_compute(
     let mut out = Vec::with_capacity(subs.len());
     for sub in subs {
         let sub = simplify(sub);
+        if sub.has_holes() && node_count(&sub) > max_size {
+            continue;
+        }
         // Type narrowing: discard candidates with no typing derivation
         // (skipped when type guidance is off). Checked before interning —
         // ill-typed candidates never reach the arena, and the verdict is
@@ -426,6 +438,7 @@ fn search_loop_parallel<'scope, 'env>(
         opts,
         search,
         gamma_fp,
+        max_size,
         sched.trace(),
     );
     search_loop(
@@ -604,8 +617,10 @@ fn search_loop(
         // speculated items (the pool computed it through the same handle),
         // with the raw pre-filter count restored either way.
         let pre_expand_hits = stats.expand_hits;
-        let expansions = search.expansions(gamma_fp, item.id, stats, |_| {
-            expand_compute(&expander, &mut gamma, env, opts, search, &item.expr)
+        let expansions = search.expansions(gamma_fp, max_size, item.id, stats, |_| {
+            expand_compute(
+                &expander, &mut gamma, env, opts, search, &item.expr, max_size,
+            )
         });
         if let Some(t) = tracer {
             if t.sampled(stats.popped - 1) {

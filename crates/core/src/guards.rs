@@ -34,6 +34,28 @@
 //! `--no-cache`, and it pays none of the shared cache's lock (or
 //! `contention`-probe) overhead on the merge's hottest path.
 //!
+//! **Deferred children.** The pool keeps its own work list, a
+//! [`crate::engine::Frontier`] of unbuilt items (strategy priority, then
+//! insertion order), and never builds a child it does not pop. Popping
+//! an item looks up the complete filling list of its leftmost hole
+//! (shared out of the [`FillMemo`]) and pushes one unbuilt `(parent,
+//! fills, index)` entry per filling, ranked by the child's size
+//! `|parent| − 1 + |fill|`, which needs no tree. Only a child that reaches the top of the list is
+//! built, type-narrowed, hash-consed and checked against the `seen` set;
+//! one that fails narrowing or is a duplicate is dropped there and does
+//! not count as a pop. A filling that closes the parent's last hole
+//! makes an evaluable candidate, which is still built at the parent's pop,
+//! in list order, and joins the candidate stream at once. The stream is
+//! the one eager expansion yields, pop for pop: every guard item has
+//! `c = 0`, so its priority depends on its size alone under every
+//! strategy; identical expressions have identical sizes, so of several
+//! copies the first pushed is also the first popped, and dedup at pop
+//! time keeps the survivor dedup at push time would keep. Deferring pays
+//! because most children are never popped: on A4, about 2.5M children
+//! within `max_guard_size` are still queued when the search ends. Guard
+//! items contain no sequences, binders or effect holes (a debug assertion
+//! checks each one), so they need no `simplify` pass.
+//!
 //! **Canonical semantics.** With [`Options::bdd`] (the default), a
 //! request's spec sets and every distinct evaluation vector it observes
 //! are interned into a reduced-ordered BDD over the spec-index domain
@@ -57,12 +79,13 @@
 
 use crate::engine::{Frontier, Scheduler, SearchStats};
 use crate::error::SynthError;
-use crate::expand::{simplify, Expander, FillMemo, TemplateStore};
+use crate::expand::{fill_first, Expander, FillMemo, TemplateStore};
 use crate::generate::{generate_many, GuardOracle, Oracle};
 use crate::infer::{infer_ty, Gamma};
 use crate::options::Options;
 use rbsyn_bdd::{Bdd, IndexDomain, NodeId};
 use rbsyn_interp::{InterpEnv, PreparedSpec, Spec, SpecOutcome};
+use rbsyn_lang::metrics::node_count;
 use rbsyn_lang::{Expr, ExprArena, ExprId, FxBuild, Program, Symbol, Ty, Value};
 use rbsyn_trace::Mark;
 use std::cell::RefCell;
@@ -303,6 +326,48 @@ struct GuardCand {
     bits: Bits,
 }
 
+/// An unbuilt item of the guard stream's work list.
+enum Pending {
+    /// The stream's root, `□:Bool`.
+    Root,
+    /// `parent` with its leftmost hole replaced by `fills[idx]` — child
+    /// `idx` of the parent's expansion, built only when popped.
+    Child {
+        parent: Arc<Expr>,
+        fills: Arc<Vec<Expr>>,
+        idx: u32,
+    },
+}
+
+impl Pending {
+    fn build(&self) -> Expr {
+        match self {
+            Pending::Root => Expr::Hole(Ty::Bool),
+            Pending::Child { parent, fills, idx } => {
+                fill_first(parent, &fills[*idx as usize]).expect("expanded items have a hole")
+            }
+        }
+    }
+}
+
+/// Does `e` have the guard stream's shape? Boolean candidates are built
+/// from typed holes, calls, literals, variables, hashes, `!` and `||`
+/// only — no sequences, binders or effect holes — which is what makes the
+/// pool's fixed-`Γ` fill memo sound and `simplify` an identity.
+fn guard_shaped(e: &Expr) -> bool {
+    match e {
+        Expr::Seq(_) | Expr::Let { .. } | Expr::EffHole(_) => false,
+        Expr::Lit(_) | Expr::Var(_) | Expr::Hole(_) => true,
+        Expr::Call { recv, args, .. } => guard_shaped(recv) && args.iter().all(guard_shaped),
+        Expr::If { cond, then, els } => {
+            guard_shaped(cond) && guard_shaped(then) && guard_shaped(els)
+        }
+        Expr::HashLit(entries) => entries.iter().all(|(_, v)| guard_shaped(v)),
+        Expr::Not(b) => guard_shaped(b),
+        Expr::Or(a, b) => guard_shaped(a) && guard_shaped(b),
+    }
+}
+
 /// Pool-local template memo: the same pure S-App/S-EffApp lists the
 /// shared cache would compute, without its locks (or their `contention`
 /// probes) — the pool enumerates on one thread, so a `RefCell` suffices.
@@ -418,9 +483,10 @@ type ReqKey = (Vec<usize>, Vec<usize>);
 ///
 /// The pool is deterministic by construction: the candidate stream is the
 /// same oracle-independent enumeration every per-request search performed
-/// (same expander, same template lists, same frontier strategy, same
-/// dedup), so [`GuardPool::nth_covering_guard`] returns byte-identical
-/// guards in byte-identical order — it just never re-enumerates or
+/// (same expander, same template lists, same work-list order, same
+/// survivors of dedup — see "Deferred children" in the module docs), so
+/// [`GuardPool::nth_covering_guard`] returns byte-identical guards in
+/// byte-identical order — it just never re-enumerates or
 /// re-judges anything, and it is **lazy twice over**: the stream extends
 /// only as far as the deepest request needs, and a request only scans far
 /// enough to answer the guard index the merge actually consumes. The old
@@ -437,7 +503,10 @@ pub struct GuardPool {
     /// literal body — which cannot raise — still produced a setup error.
     /// Feeds literal-bit derivation in BDD mode.
     setup_ok: Vec<Option<bool>>,
-    frontier: Option<Frontier<'static>>,
+    /// The lazy work list (see the [module docs](self)); every item is
+    /// pushed with `c = 0`.
+    work: Option<Frontier<'static, Pending>>,
+    /// Items already popped and evaluable candidates already recorded.
     seen: HashSet<ExprId, FxBuild>,
     gamma: Option<Gamma>,
     pops: u64,
@@ -473,7 +542,7 @@ impl Default for GuardPool {
 
 impl GuardPool {
     /// An empty pool; all state (prepared checks, the enumeration
-    /// frontier, the BDD) is created lazily on the first request, so
+    /// work list, the BDD) is created lazily on the first request, so
     /// merges that never need a guard pay nothing.
     pub fn new() -> GuardPool {
         GuardPool {
@@ -481,7 +550,7 @@ impl GuardPool {
             checks: Vec::new(),
             nwords: 1,
             setup_ok: Vec::new(),
-            frontier: None,
+            work: None,
             seen: HashSet::default(),
             gamma: None,
             pops: 0,
@@ -519,26 +588,52 @@ impl GuardPool {
             self.sem = Some(Semantics::new(q.specs.len()));
         }
         self.gamma = Some(Gamma::from_params(q.params));
-        let root = self.arena.intern(Expr::Hole(Ty::Bool));
-        let mut frontier = Frontier::new(q.opts.strategy.strategy());
-        frontier.push(0, 1, root, Arc::clone(self.arena.get(root)));
-        self.frontier = Some(frontier);
+        let mut work = Frontier::new(q.opts.strategy.strategy());
+        work.push_item(0, 1, Pending::Root);
+        self.work = Some(work);
+    }
+
+    /// Type-narrows, interns and dedups a freshly built stream item.
+    /// `None` when it has no typing derivation or is already `seen`.
+    fn admit(&mut self, q: &GuardQuery<'_>, e: Expr, stats: &mut SearchStats) -> Option<ExprId> {
+        debug_assert!(guard_shaped(&e), "not a guard item: {}", e.compact());
+        let gamma = self.gamma.as_mut().expect("pool is ready");
+        // Type narrowing, as in `expand_compute` — same filter, same
+        // order, pool-local interning.
+        if q.opts.guidance.types && infer_ty(&q.env.table, gamma, &e).is_none() {
+            return None;
+        }
+        let id = self.arena.intern(e);
+        if self.seen.contains(&id) {
+            stats.deduped += 1;
+            return None;
+        }
+        Some(id)
     }
 
     /// Advances the shared enumeration by one work-list pop, recording
-    /// evaluable candidates (unjudged) and re-enqueueing partial ones —
-    /// the exact loop body of the per-request search, minus S-Eff (guard
-    /// oracles never report effects, so it could never fire), run
-    /// entirely against pool-local state: expansion, simplification,
-    /// type narrowing and hash-consing never take a lock.
+    /// evaluable candidates (unjudged) and deferring partial ones — the
+    /// loop body of the per-request search, minus S-Eff (guard oracles
+    /// never report effects, so it could never fire), run entirely against
+    /// pool-local state: expansion, type narrowing and hash-consing never
+    /// take a lock.
+    ///
+    /// Partial children go on the work list unbuilt, ranked by their size
+    /// `|parent| − 1 + |fill|`; each is built, narrowed and deduplicated
+    /// only when it reaches the top. An entry dropped there is not a pop.
     fn extend_one_pop(
         &mut self,
         q: &GuardQuery<'_>,
         stats: &mut SearchStats,
     ) -> Result<(), SynthError> {
-        let Some((pri, seq, item)) = self.frontier.as_mut().and_then(|f| f.pop_ranked()) else {
-            self.exhausted = true;
-            return Ok(());
+        let (pri, seq, pending, id) = loop {
+            let Some((pri, seq, pending)) = self.work.as_mut().and_then(|w| w.pop_ranked()) else {
+                self.exhausted = true;
+                return Ok(());
+            };
+            if let Some(id) = self.admit(q, pending.build(), stats) {
+                break (pri, seq, pending, id);
+            }
         };
         self.pops += 1;
         stats.popped += 1;
@@ -548,46 +643,53 @@ impl GuardPool {
             // here; the caller decides whether the timeout is fatal.
             self.pops -= 1;
             stats.popped -= 1;
-            self.frontier
+            self.work
                 .as_mut()
                 .expect("pool is ready")
-                .requeue(pri, seq, item);
+                .requeue(pri, seq, pending);
             return Err(SynthError::Timeout);
         }
-        let expander =
-            Expander::with_fill_memo(&q.env.table, q.opts, &self.templates, &self.fill_memo);
-        let gamma = self.gamma.as_mut().expect("pool is ready");
-        let subs = expander
-            .expand_first(&item.expr, gamma)
-            .expect("non-evaluable expression must have a hole");
-        stats.expanded += subs.len() as u64;
-        for sub in subs {
-            let sub = simplify(sub);
-            // Type narrowing, as in `expand_compute` — same filter, same
-            // order, pool-local interning.
-            if q.opts.guidance.types && infer_ty(&q.env.table, gamma, &sub).is_none() {
-                continue;
-            }
-            let id = self.arena.intern(sub);
-            if !self.seen.insert(id) {
-                stats.deduped += 1;
-                continue;
-            }
-            let (size, evaluable) = self.arena.meta(id);
-            if evaluable {
-                self.cand_idx.insert(id, self.cands.len() as u32);
+        self.seen.insert(id);
+        let item = Arc::clone(self.arena.get(id));
+        let parent_size = self.arena.size(id);
+        let closes_last_hole = item.hole_count() == 1;
+        let fills = {
+            let expander =
+                Expander::with_fill_memo(&q.env.table, q.opts, &self.templates, &self.fill_memo);
+            let gamma = self.gamma.as_ref().expect("pool is ready");
+            expander
+                .first_hole_fills(&item, gamma)
+                .expect("non-evaluable expression must have a hole")
+        };
+        stats.expanded += fills.len() as u64;
+        for (j, fill) in fills.iter().enumerate() {
+            if closes_last_hole && !fill.has_holes() {
+                // An evaluable child joins the candidate stream now, in
+                // list order, exactly as the eager expansion recorded it.
+                let sub = fill_first(&item, fill).expect("expanded items have a hole");
+                let Some(cid) = self.admit(q, sub, stats) else {
+                    continue;
+                };
+                self.seen.insert(cid);
+                self.cand_idx.insert(cid, self.cands.len() as u32);
                 self.cands.push(GuardCand {
-                    expr: Arc::clone(self.arena.get(id)),
+                    expr: Arc::clone(self.arena.get(cid)),
                     pop: self.pops,
                     bits: Bits::new(self.nwords),
                 });
-            } else if size <= q.opts.max_guard_size {
-                self.frontier.as_mut().expect("pool is ready").push(
-                    0,
-                    size,
-                    id,
-                    Arc::clone(self.arena.get(id)),
-                );
+            } else {
+                let size = parent_size - 1 + node_count(fill);
+                if size <= q.opts.max_guard_size {
+                    self.work.as_mut().expect("pool is ready").push_item(
+                        0,
+                        size,
+                        Pending::Child {
+                            parent: Arc::clone(&item),
+                            fills: Arc::clone(&fills),
+                            idx: j as u32,
+                        },
+                    );
+                }
             }
         }
         Ok(())
@@ -1174,6 +1276,71 @@ mod tests {
     #[test]
     fn pool_covering_matches_the_per_request_search() {
         let (env, specs) = pool_fixture();
+        let sched = Scheduler::sequential();
+        let oracle = GuardOracle::new(&env, &[&specs[0]], &[&specs[1]]);
+        // Every work-list order and both covering deciders: the lazy
+        // stream's order rests on every guard item having `c = 0`, so the
+        // first copy of an expression pushed is the first popped under any
+        // strategy.
+        for strategy in crate::engine::StrategyKind::all() {
+            for bdd in [true, false] {
+                let opts = Options {
+                    strategy,
+                    bdd,
+                    ..Options::default()
+                };
+                let q = GuardQuery {
+                    env: &env,
+                    name: Symbol::intern("m"),
+                    params: &[],
+                    specs: &specs,
+                    opts: &opts,
+                    sched: &sched,
+                };
+                let config = format!("strategy {}, bdd {bdd}", strategy.name());
+                // Reference: the eager per-request search.
+                let mut ref_stats = SearchStats::default();
+                let reference =
+                    search_guards(&env, "m", &[], &oracle, 4, &opts, &sched, &mut ref_stats)
+                        .unwrap();
+                assert!(!reference.is_empty(), "{config}: a separating guard exists");
+                // Pool: same guards, same order — eager and lazy agree.
+                let mut pool = GuardPool::new();
+                let mut stats = SearchStats::default();
+                let pooled = pool.covering_guards(&q, &[0], &[1], 4, &mut stats).unwrap();
+                assert_eq!(
+                    pooled.iter().map(|g| g.compact()).collect::<Vec<_>>(),
+                    reference.iter().map(|g| g.compact()).collect::<Vec<_>>(),
+                    "{config}: pool covering must reproduce the per-request search"
+                );
+                // A fresh pool serving one request walks the eager
+                // search's exact stream: same pops, same expansions, same
+                // candidates judged.
+                assert_eq!(
+                    (stats.popped, stats.expanded, stats.tested),
+                    (ref_stats.popped, ref_stats.expanded, ref_stats.tested),
+                    "{config}: effort counters"
+                );
+                for (n, g) in pooled.iter().enumerate() {
+                    let nth = pool
+                        .nth_covering_guard(&q, &[0], &[1], n, 4, &mut stats)
+                        .unwrap();
+                    assert_eq!(nth.as_ref().map(|e| e.compact()), Some(g.compact()));
+                }
+                assert_eq!(
+                    pool.covering_count(&q, &[0], &[1], 4, &mut stats).unwrap(),
+                    pooled.len()
+                );
+            }
+        }
+    }
+
+    /// Children are built only when popped: after a request, the pool's
+    /// arena holds the popped items, the evaluable candidates and nothing
+    /// else, while most of the `expanded` children still wait unbuilt.
+    #[test]
+    fn pool_builds_only_what_it_pops() {
+        let (env, specs) = pool_fixture();
         let opts = Options::default();
         let sched = Scheduler::sequential();
         let q = GuardQuery {
@@ -1184,38 +1351,23 @@ mod tests {
             opts: &opts,
             sched: &sched,
         };
-        // Reference: the eager per-request search.
-        let oracle = GuardOracle::new(&env, &[&specs[0]], &[&specs[1]]);
-        let mut ref_stats = SearchStats::default();
-        let reference = search_guards(
-            &env,
-            "m",
-            &[],
-            &oracle,
-            4,
-            &opts,
-            &Scheduler::sequential(),
-            &mut ref_stats,
-        )
-        .unwrap();
-        // Pool: same guards, same order — eager and lazy agree.
         let mut pool = GuardPool::new();
         let mut stats = SearchStats::default();
-        let pooled = pool.covering_guards(&q, &[0], &[1], 4, &mut stats).unwrap();
-        assert_eq!(
-            pooled.iter().map(|g| g.compact()).collect::<Vec<_>>(),
-            reference.iter().map(|g| g.compact()).collect::<Vec<_>>(),
-            "pool covering must reproduce the per-request search"
+        let guards = pool.covering_guards(&q, &[0], &[1], 4, &mut stats).unwrap();
+        assert!(!guards.is_empty());
+        let built = pool.arena.len() as u64;
+        assert!(
+            built <= 1 + stats.popped + pool.cands.len() as u64 + stats.deduped,
+            "arena {built}, popped {}, candidates {}, duplicates {}",
+            stats.popped,
+            pool.cands.len(),
+            stats.deduped
         );
-        for (n, g) in pooled.iter().enumerate() {
-            let nth = pool
-                .nth_covering_guard(&q, &[0], &[1], n, 4, &mut stats)
-                .unwrap();
-            assert_eq!(nth.as_ref().map(|e| e.compact()), Some(g.compact()));
-        }
-        assert_eq!(
-            pool.covering_count(&q, &[0], &[1], 4, &mut stats).unwrap(),
-            pooled.len()
+        let queued = pool.work.as_ref().unwrap().len() as u64;
+        assert!(queued > 0, "unpopped children stay unbuilt");
+        assert!(
+            built + queued <= stats.expanded + 1,
+            "every queued entry is one expansion child"
         );
     }
 

@@ -421,7 +421,7 @@ impl Synthesizer {
                 t.counter("lock-wait-nanos", &waits);
             }
             t.phase_totals(
-                "phase-totals",
+                rbsyn_trace::PHASE_TOTALS_TRACK,
                 &[
                     (Phase::Generate, stats.generate_time.as_nanos() as u64),
                     (Phase::Guard, stats.guard_time.as_nanos() as u64),

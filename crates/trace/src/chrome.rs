@@ -7,7 +7,9 @@
 //! nanosecond precision kept in the fractional part. Hand-rolled like
 //! every other JSON writer in the workspace — no serializer dependency.
 
-use crate::{Event, EventKind, Trace};
+use crate::schema::{parse, Json};
+use crate::{Event, EventKind, Phase, ThreadTrack, Trace};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Escapes `s` as JSON string *content* (no surrounding quotes).
@@ -151,10 +153,96 @@ impl Trace {
     }
 }
 
+impl Trace {
+    /// Rebuilds the span skeleton of a trace written by
+    /// [`Trace::to_chrome_json`]: one track per `tid`, named by its
+    /// `thread_name` metadata, holding its `B`/`E` events (with their
+    /// `detail`) in file order. Instants and counters are not restored.
+    /// Lets a checker re-fold an exported trace with [`Trace::profile`].
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, a missing `traceEvents` array, an event without a
+    /// numeric `tid`/`ts`, or a span named after no [`Phase`].
+    pub fn spans_from_chrome_json(src: &str) -> Result<Trace, String> {
+        let doc = parse(src)?;
+        let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+            return Err("top-level object must carry a \"traceEvents\" array".to_owned());
+        };
+        let mut tracks: BTreeMap<u64, ThreadTrack> = BTreeMap::new();
+        for (i, ev) in events.iter().enumerate() {
+            let num = |key: &str| match ev.get(key) {
+                Some(Json::Num(n)) if *n >= 0.0 => Ok(*n),
+                _ => Err(format!("event {i}: missing numeric \"{key}\"")),
+            };
+            let ph = ev.get("ph").and_then(Json::as_str).unwrap_or_default();
+            if !matches!(ph, "M" | "B" | "E") {
+                continue;
+            }
+            let tid = num("tid")? as u64;
+            let track = tracks.entry(tid).or_insert_with(|| ThreadTrack {
+                tid,
+                name: String::new(),
+                events: Vec::new(),
+            });
+            let arg = |key: &str| {
+                ev.get("args")
+                    .and_then(|a| a.get(key))
+                    .and_then(Json::as_str)
+            };
+            let kind = match ph {
+                "M" => {
+                    if ev.get("name").and_then(Json::as_str) == Some("thread_name") {
+                        track.name = arg("name").unwrap_or_default().to_owned();
+                    }
+                    continue;
+                }
+                "B" => {
+                    let name = ev.get("name").and_then(Json::as_str).unwrap_or_default();
+                    let phase = Phase::from_name(name)
+                        .ok_or_else(|| format!("event {i}: unknown span {name:?}"))?;
+                    EventKind::Begin {
+                        name: phase.name(),
+                        detail: arg("detail").map(Into::into),
+                    }
+                }
+                _ => EventKind::End,
+            };
+            // Microseconds with nanosecond fractions (see `us`).
+            let ts = (num("ts")? * 1_000.0).round() as u64;
+            track.events.push(Event { ts, kind });
+        }
+        Ok(Trace {
+            tracks: tracks.into_values().collect(),
+            dropped: 0,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Mark, Phase, Session, TraceConfig};
+
+    #[test]
+    fn span_import_inverts_the_export() {
+        let s = Session::new(TraceConfig::default());
+        {
+            let _solve = s.span(Phase::Solve);
+            let _gen = s.span_with(Phase::Generate, Some("Bool".to_owned()));
+            s.mark(Mark::OracleRun);
+        }
+        s.phase_totals(crate::PHASE_TOTALS_TRACK, &[(Phase::Guard, 7)]);
+        let trace = s.finish();
+        let back = Trace::spans_from_chrome_json(&trace.to_chrome_json(&[])).unwrap();
+        assert_eq!(back.tracks.len(), 2);
+        assert_eq!(back.tracks[1].name, crate::PHASE_TOTALS_TRACK);
+        assert_eq!(trace.profile().rows, back.profile().rows);
+        assert!(Trace::spans_from_chrome_json(
+            r#"{"traceEvents":[{"ph":"B","name":"nope","pid":1,"tid":0,"ts":0}]}"#
+        )
+        .is_err());
+    }
 
     #[test]
     fn escaping_covers_quotes_backslashes_and_controls() {

@@ -36,6 +36,11 @@ pub mod schema;
 
 pub use profile::{Profile, ProfileRow};
 
+/// Name of the synthetic track [`Session::phase_totals`] writes for a
+/// run's measured per-phase totals. Its spans restate time the live
+/// tracks already hold, so [`Trace::profile`] leaves it out.
+pub const PHASE_TOTALS_TRACK: &str = "phase-totals";
+
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,6 +100,20 @@ pub enum Phase {
 }
 
 impl Phase {
+    /// The phase exported under `name` (inverse of [`Phase::name`]).
+    pub fn from_name(name: &str) -> Option<Phase> {
+        [
+            Phase::Solve,
+            Phase::Generate,
+            Phase::Guard,
+            Phase::Eval,
+            Phase::Merge,
+            Phase::SpecSearch,
+        ]
+        .into_iter()
+        .find(|p| p.name() == name)
+    }
+
     /// The stable span name used in exports.
     pub fn name(self) -> &'static str {
         match self {
@@ -524,12 +543,12 @@ mod tests {
     fn phase_totals_make_a_synthetic_track() {
         let s = Session::new(TraceConfig::default());
         s.phase_totals(
-            "phase-totals",
+            PHASE_TOTALS_TRACK,
             &[(Phase::Generate, 5), (Phase::Merge, 0), (Phase::Eval, 2)],
         );
         let t = s.finish();
         assert_eq!(t.tracks.len(), 1);
-        assert_eq!(t.tracks[0].name, "phase-totals");
+        assert_eq!(t.tracks[0].name, PHASE_TOTALS_TRACK);
         assert_eq!(t.tracks[0].events.len(), 6, "a begin/end pair per phase");
     }
 }

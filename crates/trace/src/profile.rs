@@ -3,7 +3,7 @@
 //! counts. The compact companion to the Chrome export: one table instead
 //! of a timeline, for terminals and CI logs.
 
-use crate::{Event, EventKind, Trace};
+use crate::{Event, EventKind, Trace, PHASE_TOTALS_TRACK};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -48,11 +48,13 @@ impl Trace {
     /// counts instant events. Span nesting is resolved per thread: a
     /// parent's self time excludes its children's totals; spans left open
     /// close at their track's last timestamp (mirroring the Chrome
-    /// export's repair).
+    /// export's repair). The synthetic [`PHASE_TOTALS_TRACK`] is left
+    /// out: it restates the live tracks' time, so folding it in would
+    /// count every phase twice.
     pub fn profile(&self) -> Profile {
         let mut spans: BTreeMap<String, Agg> = BTreeMap::new();
         let mut marks: BTreeMap<String, u64> = BTreeMap::new();
-        for track in &self.tracks {
+        for track in self.tracks.iter().filter(|t| t.name != PHASE_TOTALS_TRACK) {
             let mut stack: Vec<Open> = Vec::new();
             let last_ts = track.events.last().map_or(0, |e| e.ts);
             let close = |stack: &mut Vec<Open>, spans: &mut BTreeMap<String, Agg>, ts: u64| {
@@ -181,6 +183,31 @@ mod tests {
         assert_eq!(merge.self_ns, 70, "child guard time excluded");
         assert_eq!(guard.total_ns, 30);
         assert_eq!(guard.self_ns, 30);
+    }
+
+    #[test]
+    fn phase_totals_track_is_not_folded() {
+        let trace = Trace {
+            tracks: vec![
+                ThreadTrack {
+                    tid: 0,
+                    name: "main".into(),
+                    events: vec![begin(0, "solve"), begin(10, "guard"), end(90), end(100)],
+                },
+                ThreadTrack {
+                    tid: 1,
+                    name: PHASE_TOTALS_TRACK.into(),
+                    events: vec![begin(0, "guard"), end(80), begin(80, "eval"), end(120)],
+                },
+            ],
+            dropped: 0,
+        };
+        let p = trace.profile();
+        let guard = p.rows.iter().find(|r| r.name == "guard").unwrap();
+        assert_eq!((guard.count, guard.total_ns), (1, 80), "live span only");
+        assert!(p.rows.iter().all(|r| r.name != "eval"));
+        let self_sum: u64 = p.rows.iter().map(|r| r.self_ns).sum();
+        assert_eq!(self_sum, 100, "self times add up to the solve total");
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn session_exports_valid_chrome_json_with_all_tracks() {
         .join()
         .unwrap();
     s.phase_totals(
-        "phase-totals",
+        rbsyn_trace::PHASE_TOTALS_TRACK,
         &[
             (Phase::Generate, 1_000),
             (Phase::Guard, 500),
